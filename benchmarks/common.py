@@ -8,7 +8,7 @@ extra.
 
 Scale control: ``REPRO_BENCH_SCALE=smoke`` (default) runs CPU-friendly
 configurations; ``full`` widens seeds/epochs/datasets toward the paper's
-protocol.  EXPERIMENTS.md records the scale used for the committed numbers.
+protocol.
 
 Execution control: ``REPRO_SWEEP_WORKERS`` (0 = all cores) fans cells over
 local processes; ``REPRO_SWEEP_EXECUTOR``/``REPRO_EXECUTOR_OPTIONS`` select
@@ -70,7 +70,7 @@ _IMAGENET_KW = dict(
 )
 
 #: width scales per architecture, chosen so topology is intact but the CPU
-#: budget holds (see DESIGN.md substitution table)
+#: budget holds
 MODEL_KW = {
     "cifar-vgg": dict(width_scale=0.25, input_size=16),
     "resnet-56": dict(width_scale=0.375),

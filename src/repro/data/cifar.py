@@ -1,4 +1,4 @@
-"""Synthetic CIFAR-10 stand-in (see DESIGN.md substitution table).
+"""Synthetic CIFAR-10 stand-in (images from :mod:`repro.data.synthetic`).
 
 Same tensor interface as the real dataset — 10 classes of 3×``size``×``size``
 float images with train/val splits and the standard augmentation pipeline

@@ -1,4 +1,4 @@
-"""Synthetic ImageNet stand-in (see DESIGN.md substitution table).
+"""Synthetic ImageNet stand-in (images from :mod:`repro.data.synthetic`).
 
 The paper's ImageNet experiments (Figures 6, 17, 18) measure Top-1 accuracy
 of pruned ResNet-18 at several compression ratios.  This surrogate keeps the

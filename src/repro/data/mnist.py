@@ -1,4 +1,4 @@
-"""Synthetic MNIST stand-in (see DESIGN.md substitution table).
+"""Synthetic MNIST stand-in (images from :mod:`repro.data.synthetic`).
 
 Grayscale 28×28 with mostly-near-zero backgrounds, mirroring the properties
 the paper calls out in §4.2 ("its images are grayscale, composed mostly of

@@ -1,11 +1,11 @@
 """Synthetic class-conditional image generation.
 
 The execution environment has no access to CIFAR-10, ImageNet or MNIST, so
-this module provides the dataset *substitute* documented in DESIGN.md: a
-deterministic generator of class-conditional images with enough intra-class
-variability that (a) convnets must be trained to non-trivial accuracy, and
-(b) accuracy degrades smoothly as capacity is pruned away — the property the
-paper's tradeoff curves measure.
+this module provides a dataset *substitute*: a deterministic generator of
+class-conditional images with enough intra-class variability that
+(a) convnets must be trained to non-trivial accuracy, and (b) accuracy
+degrades smoothly as capacity is pruned away — the property the paper's
+tradeoff curves measure.
 
 Generation recipe (per class):
 

@@ -8,8 +8,8 @@ Training defaults mirror Appendix C.2 of the paper:
   schedule.
 
 Epoch counts and dataset sizes are scaled to the CPU budget via the
-``scale`` factory arguments; EXPERIMENTS.md records the values used for
-each reported figure.
+``scale`` factory arguments; ``benchmarks/common.py`` holds the values the
+figure benchmarks use.
 
 Sweep schema
 ------------

@@ -17,7 +17,7 @@ reproduced exactly:
 * 37 of 81 papers report results on the Figure 3 configurations.
 
 Synthetic entries are flagged ``synthetic=True`` and carry no claims about
-any real publication.  See DESIGN.md's substitution table.
+any real publication.
 """
 
 from __future__ import annotations

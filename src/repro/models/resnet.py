@@ -9,7 +9,7 @@ are often conflated (§5.1 "Architecture Ambiguity"):
   width_scale`` with two basic blocks each and a stride-2 stem regime.
 
 ``width_scale`` shrinks channel counts for the CPU budget while preserving
-topology — the property pruning behaviour depends on (see DESIGN.md).
+topology — the property pruning behaviour depends on.
 """
 
 from __future__ import annotations

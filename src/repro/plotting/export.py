@@ -1,8 +1,8 @@
 """CSV export of figure data series.
 
 Every benchmark writes the series behind its figure to
-``artifacts/figures/<name>.csv`` so paper-vs-measured comparisons in
-EXPERIMENTS.md are backed by machine-readable data.  Per §6 the long
+``artifacts/figures/<name>.csv`` so paper-vs-measured comparisons are
+backed by machine-readable data.  Per §6 the long
 format carries the mean, the sample std *and* the aggregated run count
 per point (``series, x, y, std, n``), so error bars are reconstructible
 downstream; ``n`` is 0 for series with unknown provenance (e.g. digitized

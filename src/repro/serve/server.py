@@ -283,8 +283,11 @@ class FrameSource:
                 outstanding = queue_outstanding(self.path)
                 fingerprint = manifest["fingerprint"]
             else:
-                frame = load_frame(self.path, cache_dir=self.cache_dir)
+                # counts before rows: a cell published before the counts
+                # are read is in the frame read after them, so a report
+                # never shows a finished sweep with a row missing
                 outstanding = queue_outstanding(self.path)
+                frame = load_frame(self.path, cache_dir=self.cache_dir)
             self._generation += 1
             snapshot = Snapshot(
                 frame, self._generation, outstanding,
@@ -832,6 +835,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: injected by :meth:`ResultsServer._bind` via subclassing
     server_app: ResultsServer = None  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"  # keep-alive: many reads per connection
+    #: TCP_NODELAY: the body, sent after the headers, must not wait on
+    #: Nagle for the client's delayed ACK (a ~40 ms stall per response)
+    disable_nagle_algorithm = True
 
     # -- entry points ----------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -845,9 +851,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        # a rejected body is left unread, so the connection must close:
+        # kept alive, the body would be parsed as the next request
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise _HTTPError(400, f"invalid Content-Length header: {raw!r}")
+        # digits counted before int(), which refuses over 4300 of them
+        digits = raw.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise _HTTPError(413, "request body too large")
+        length = int(digits)
         return self.rfile.read(length) if length else b""
 
     def _handle(self, method: str) -> None:
@@ -871,12 +886,18 @@ class _Handler(BaseHTTPRequestHandler):
                                  "status": 500}),
             )
         try:
-            status = self._send(method, response)
+            status, payload = self._send_head(method, response)
         finally:
+            # counted before the body goes out, so a client that has read
+            # its response always finds the request in /healthz
             app.metrics.record(route, status,
                                time.perf_counter() - started)
+        if payload:
+            self.wfile.write(payload)
 
-    def _send(self, method: str, response: _Response) -> int:
+    def _send_head(self, method: str, response: _Response) -> Tuple[int, bytes]:
+        """Send the status line and headers; returns the status sent and
+        the body still to write (empty for HEAD and 304)."""
         status = response.status
         payload = response.text.encode("utf-8")
         if response.etag is not None and status == 200:
@@ -890,10 +911,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("ETag", response.etag)
             self.send_header("Cache-Control", "no-cache")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
-        if method != "HEAD" and status != 304:
-            self.wfile.write(payload)
-        return status
+        return status, b"" if method == "HEAD" else payload
 
     def log_message(self, format: str, *args) -> None:
         log = self.server_app.log if self.server_app else None

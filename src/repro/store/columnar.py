@@ -42,6 +42,7 @@ from the manifest fingerprint so a backfill never changes row identity.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import time
@@ -138,6 +139,13 @@ def _decode_object_column(codes: np.ndarray, pool: List[Any]) -> np.ndarray:
     values = np.empty(len(pool), dtype=object)
     values[:] = [restore_nonfinite(v) for v in pool]
     return values[np.asarray(codes)]
+
+
+def _npy_bytes(arr: np.ndarray) -> bytes:
+    """``arr`` in ``.npy`` format, byte-equal to ``np.save`` to a file."""
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
 
 
 def _to_object(arr: np.ndarray) -> np.ndarray:
@@ -388,9 +396,9 @@ class ColumnStore:
                 }
             ).encode()
         ).hexdigest()
-        atomic_write_text(
-            self.manifest_path, json.dumps(manifest, indent=1, allow_nan=False)
-        )
+        # compact one-line JSON: without ``indent`` json.dumps takes its C
+        # encoder; readers use json.loads, so any whitespace reads back
+        atomic_write_text(self.manifest_path, json.dumps(manifest, allow_nan=False))
 
     def fingerprint(self) -> str:
         """The manifest fingerprint: changes iff the stored rows change."""
@@ -506,12 +514,23 @@ class ColumnStore:
         tmp.mkdir(parents=True)
         col_kinds: Dict[str, str] = {}
         col_stats: Dict[str, Dict[str, Any]] = {}
+        files: Dict[str, bytes] = {}
         for name, arr in columns.items():
             _check_column_name(name)
-            col_kinds[name], col_stats[name] = self._write_column(tmp, name, arr)
+            col_kinds[name], col_stats[name] = self._encode_column(
+                files, name, arr
+            )
         if keys is not None:
-            np.save(tmp / "keys.npy", np.asarray(list(keys), dtype=np.str_))
-        fingerprint = self._fingerprint_segment(tmp)
+            files["keys.npy"] = _npy_bytes(np.asarray(list(keys), dtype=np.str_))
+        # each file is serialized once: the bytes written are the bytes
+        # hashed, framed "name:len:" in sorted-name order
+        digest = hashlib.sha256()
+        for file_name in sorted(files):
+            data = files[file_name]
+            (tmp / file_name).write_bytes(data)
+            digest.update(f"{file_name}:{len(data)}:".encode())
+            digest.update(data)
+        fingerprint = digest.hexdigest()
         name = f"seg-{seq:08d}-{fingerprint[:8]}"
         tmp.rename(self.segments_dir / name)
         n_rows = len(next(iter(columns.values()))) if columns else 0
@@ -525,33 +544,26 @@ class ColumnStore:
         }
 
     @staticmethod
-    def _write_column(
-        seg_dir: Path, name: str, arr: np.ndarray
+    def _encode_column(
+        files: Dict[str, bytes], name: str, arr: np.ndarray
     ) -> Tuple[str, Dict[str, Any]]:
+        """Serialize one column into ``files`` (file name -> bytes);
+        returns its kind and zone-map stats."""
         kind = arr.dtype.kind
         if kind in "iu":
             data = np.ascontiguousarray(arr, np.int64)
-            np.save(seg_dir / f"{name}.npy", data)
+            files[f"{name}.npy"] = _npy_bytes(data)
             return "int64", _numeric_stats(data)
         if kind == "f":
             data = np.ascontiguousarray(arr, np.float64)
-            np.save(seg_dir / f"{name}.npy", data)
+            files[f"{name}.npy"] = _npy_bytes(data)
             return "float64", _numeric_stats(data)
         codes, pool = _encode_object_column(np.asarray(arr, dtype=object))
-        np.save(seg_dir / f"{name}.codes.npy", codes)
-        (seg_dir / f"{name}.values.json").write_text(
-            json.dumps(pool, allow_nan=False, default=str)
-        )
+        files[f"{name}.codes.npy"] = _npy_bytes(codes)
+        files[f"{name}.values.json"] = json.dumps(
+            pool, allow_nan=False, default=str
+        ).encode()
         return "object", _object_stats(codes, pool)
-
-    @staticmethod
-    def _fingerprint_segment(seg_dir: Path) -> str:
-        digest = hashlib.sha256()
-        for path in sorted(seg_dir.iterdir()):
-            data = path.read_bytes()
-            digest.update(f"{path.name}:{len(data)}:".encode())
-            digest.update(data)
-        return digest.hexdigest()
 
     # -- read -------------------------------------------------------------
     def _load_segment(

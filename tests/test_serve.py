@@ -12,6 +12,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -29,6 +30,7 @@ from repro.analysis import (
     report_json_text,
     run_query,
 )
+from repro.analysis.frame import queue_outstanding
 from repro.cli import main
 from repro.experiment import (
     ExperimentSpec,
@@ -67,14 +69,25 @@ def _spec(strategy, compression, seed):
                           compression=float(compression), seed=seed)
 
 
-def _complete_cell(queue, cache, row):
-    """Submit + claim + complete one cell and publish its result row."""
+def _complete_cell_steps(queue, cache, row):
+    """Submit, claim, publish and complete one cell, yielding after each
+    step: every step leaves a distinct on-disk generation."""
     spec = _spec(row.strategy, row.compression, row.seed)
     queue.submit(spec)
+    yield
     claim = queue.claim("test-worker")
     assert claim is not None
+    yield
     cache.put(spec, row)
+    yield
     queue.complete(claim)
+    yield
+
+
+def _complete_cell(queue, cache, row):
+    """Submit + claim + complete one cell and publish its result row."""
+    for _ in _complete_cell_steps(queue, cache, row):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +350,47 @@ class TestEndpoints:
             assert needle in doc["error"], (path, doc["error"])
             assert doc["status"] == status
 
+    def test_accepted_connection_sets_tcp_nodelay(self, server):
+        # headers and body go out as two writes; with Nagle on, the body
+        # waits for the client's delayed ACK
+        seen = []
+        handler = server._httpd.RequestHandlerClass
+
+        class Probe(handler):
+            def setup(self):
+                super().setup()
+                seen.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        server._httpd.RequestHandlerClass = Probe
+        try:
+            _get_json(server, "/healthz")
+        finally:
+            server._httpd.RequestHandlerClass = handler
+        assert len(seen) == 1 and seen[0] != 0
+
+    @pytest.mark.parametrize("length, status, needle", [
+        ("abc", 400, "invalid Content-Length header: 'abc'"),
+        ("-5", 400, "invalid Content-Length header: '-5'"),
+        ("9" * 5000, 413, "request body too large"),  # beyond int()'s limit
+    ], ids=["letters", "negative", "5000-digits"])
+    def test_bad_content_length_is_refused_and_closes(self, server, length,
+                                                      status, needle):
+        body = json.dumps({"group_by": "strategy"}).encode()
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode() + body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            doc = json.loads(response.read())
+            assert response.status == status and doc["status"] == status
+            assert doc["error"] == needle
+            assert response.getheader("Connection") == "close"
+            # the unread body is not parsed as a second request
+            assert sock.recv(1024) == b""
+
     def test_head_sends_headers_without_body(self, server):
         response, payload = _request(server, "HEAD", "/report")
         assert response.status == 200
@@ -498,6 +552,12 @@ class TestFleetEndpoint:
 # concurrent reads during background reload (no torn responses)
 # ---------------------------------------------------------------------------
 
+def _report_without_counts(frame):
+    doc = json.loads(report_json_text(build_report(frame)))
+    del doc["outstanding"]
+    return doc
+
+
 class TestConcurrentReload:
     N_READERS = 4
 
@@ -512,7 +572,11 @@ class TestConcurrentReload:
         query = {"sort": ["strategy", "compression", "seed"]}
         frame1 = ResultFrame.from_queue(queue.root)
         valid_rows = [run_query(frame1, query)["rows"]]
-        valid_reports = [json.loads(report_json_text(build_report(frame1)))]
+        # per generation: the report without its outstanding counts, and
+        # the counts (a load reads the counts before the frame, so a
+        # report pairs a frame with the counts of it or an earlier one)
+        valid_reports = [_report_without_counts(frame1)]
+        valid_counts = [queue_outstanding(queue.root)]
 
         srv = ResultsServer([FrameSource("q", queue.root)],
                             reload_interval=0.05)
@@ -550,14 +614,15 @@ class TestConcurrentReload:
         try:
             time.sleep(0.15)
             # grow the queue mid-flight: workers publish a second seed one
-            # cell at a time, so EVERY completion prefix is a legitimate
+            # cell at a time, so EVERY step of every completion (pending,
+            # leased, published but still leased, done) is a legitimate
             # on-disk generation the reloader may capture — whitelist each
             for row in phase2:
-                _complete_cell(queue, cache, row)
-                frame2 = ResultFrame.from_queue(queue.root)
-                valid_rows.append(run_query(frame2, query)["rows"])
-                valid_reports.append(
-                    json.loads(report_json_text(build_report(frame2))))
+                for _ in _complete_cell_steps(queue, cache, row):
+                    frame2 = ResultFrame.from_queue(queue.root)
+                    valid_rows.append(run_query(frame2, query)["rows"])
+                    valid_reports.append(_report_without_counts(frame2))
+                    valid_counts.append(queue_outstanding(queue.root))
             # keep reading until the server demonstrably serves the final
             # (fully drained) generation
             deadline = time.time() + 10.0
@@ -578,7 +643,15 @@ class TestConcurrentReload:
         for rows in observed_rows:
             assert rows in valid_rows
         for report in observed_reports:
+            counts = report.pop("outstanding")
             assert report in valid_reports
+            latest = max(i for i, r in enumerate(valid_reports) if r == report)
+            earlier = valid_counts[:latest + 1]
+            # pending/ is listed before leased/, so a cell claimed between
+            # the two listings is counted in both
+            in_flight = {"pending": counts["pending"],
+                         "leased": counts["leased"] - 1}
+            assert counts in earlier or in_flight in earlier, counts
         # and the final generation was actually observed (reload happened)
         assert any(r == valid_rows[-1] for r in observed_rows)
 

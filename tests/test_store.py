@@ -246,6 +246,83 @@ class TestCrashRecovery:
             store.to_frame()
 
 
+def readback_fingerprint(seg_dir) -> str:
+    """Reference segment digest: re-read every file of a sealed segment
+    directory and hash it, framed ``name:len:`` in sorted-name order."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(seg_dir.iterdir()):
+        data = path.read_bytes()
+        digest.update(f"{path.name}:{len(data)}:".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def mixed_store(root) -> ColumnStore:
+    """Keyed and unkeyed segments over int, float and object columns,
+    with NaN/±inf (numeric and ``__nonfinite__``-sentineled object
+    values) and non-ASCII strings."""
+    store = ColumnStore(root)
+    store.append_frame(ResultFrame.from_records([
+        {"i": 1, "f": 0.5, "s": "alpha", "o": {"k": [1, 2]}},
+        {"i": 2, "f": float("nan"), "s": "Grüße, 剪枝", "o": float("inf")},
+    ]))
+    store.append_frame(ResultFrame.from_records([
+        {"i": 5, "f": float("inf"), "s": None, "o": float("-inf")},
+        {"i": 7, "f": float("-inf"), "s": "ñ", "o": float("nan")},
+    ]), keys=["k-one", "k-two"])
+    store.append_frame(ResultFrame.from_records([{"i": -3, "f": 2.25}]))
+    return store
+
+
+class TestSegmentFingerprint:
+    def assert_readback_equal(self, store):
+        for entry in store.segments():
+            seg_dir = store.segments_dir / entry["name"]
+            assert entry["fingerprint"] == readback_fingerprint(seg_dir)
+            assert entry["name"].endswith(entry["fingerprint"][:8])
+
+    def test_sealed_fingerprints_equal_readback(self, tmp_path):
+        store = mixed_store(tmp_path / "store")
+        cache = fill_cache(tmp_path / "cache", n=5)
+        store.ingest(cache.root, chunk_rows=2)  # real rows, keyed
+        segments = store.segments()
+        assert {e["keyed"] for e in segments} == {True, False}
+        assert {k for e in segments for k in e["columns"].values()} == {
+            "int64", "float64", "object"}
+        sentinel = store.segments_dir / segments[0]["name"] / "o.values.json"
+        assert "__nonfinite__" in sentinel.read_text()
+        self.assert_readback_equal(store)
+        store.compact()  # one segment sealed from the whole store
+        self.assert_readback_equal(store)
+
+
+class TestLegacyManifest:
+    def test_indented_manifest_reads_and_appends_like_compact(self, tmp_path):
+        compact = mixed_store(tmp_path / "compact")
+        legacy = mixed_store(tmp_path / "legacy")
+        text = compact.manifest_path.read_text()
+        assert "\n" not in text  # written as one line of compact JSON
+        # the manifest as it was written before: indent=1
+        manifest = json.loads(legacy.manifest_path.read_text())
+        legacy.manifest_path.write_text(
+            json.dumps(manifest, indent=1, allow_nan=False))
+        legacy = ColumnStore(legacy.root)
+        assert legacy.fingerprint() == compact.fingerprint()
+        assert legacy.segments() == compact.segments()
+        assert_frames_identical(legacy.to_frame(), compact.to_frame())
+        row = [{"i": 9, "f": 0.25, "s": "ω"}]
+        a = compact.append_frame(ResultFrame.from_records(row), keys=["k9"])
+        b = legacy.append_frame(ResultFrame.from_records(row), keys=["k9"])
+        assert a["name"] == b["name"]
+        assert legacy.fingerprint() == compact.fingerprint()
+        assert [e["name"] for e in legacy.segments()] == \
+            [e["name"] for e in compact.segments()]
+        assert legacy.manifest_path.read_text() == \
+            compact.manifest_path.read_text()
+
+
 class TestWorkerPublish:
     def test_worker_mirrors_rows_to_store(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
